@@ -160,12 +160,14 @@ void print_series() {
                             std::max(before_s, 1e-9);
   const double tps_after = static_cast<double>(kThroughputTrials) /
                            std::max(after_s, 1e-9);
-  std::printf("\nZero-allocation path: %.1f trials/s allocating (%.1f allocs/"
-              "trial) -> %.1f trials/s pooled (%.1f allocs/trial), %.2fx\n",
-              tps_before,
-              static_cast<double>(allocs_before) / kThroughputTrials,
-              tps_after,
-              static_cast<double>(allocs_after) / kThroughputTrials,
+  // Whole allocation counts: a per-trial mean would print "0.0" for one
+  // allocation over the whole run.
+  std::printf("\nZero-allocation path: %.1f trials/s allocating (%llu allocs "
+              "in %zu trials) -> %.1f trials/s pooled (%llu allocs in %zu "
+              "trials), %.2fx\n",
+              tps_before, static_cast<unsigned long long>(allocs_before),
+              kThroughputTrials, tps_after,
+              static_cast<unsigned long long>(allocs_after), kThroughputTrials,
               tps_after / std::max(tps_before, 1e-9));
 
   auto& reg = obs::MetricRegistry::global();

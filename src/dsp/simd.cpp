@@ -101,16 +101,21 @@ constexpr KernelTable kScalarTable = {
 
 // ---- dispatch ---------------------------------------------------------------
 
+// The table for `isa`, or the scalar table when this build or host has none
+// (the vector tables are null off their architecture).
 const KernelTable* table_for(Isa isa) {
+  const KernelTable* table = nullptr;
   switch (isa) {
     case Isa::kAvx2:
-      return avx2_kernels();
+      table = avx2_kernels();
+      break;
     case Isa::kNeon:
-      return neon_kernels();
+      table = neon_kernels();
+      break;
     case Isa::kScalar:
       break;
   }
-  return &kScalarTable;
+  return table != nullptr ? table : &kScalarTable;
 }
 
 Isa detect_isa() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/correlate.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/simd.hpp"
@@ -90,7 +89,7 @@ void fsk_waveform_into(const FskParams& params,
 }
 
 FskDemodulator::FskDemodulator(DemodConfig config, int bits_per_symbol)
-    : config_(config) {
+    : config_(config), metrics_(config.metrics) {
   require(config.bitrate > 0.0, "FskDemodulator: bitrate must be positive");
   require(config.sample_rate > 0.0,
           "FskDemodulator: sample rate must be positive");
@@ -110,13 +109,6 @@ FskDemodulator::FskDemodulator(DemodConfig config, int bits_per_symbol)
                config_.sample_rate / 2.5);
   lowpass_ = dsp::butterworth_lowpass(config_.lowpass_order, cutoff,
                                       config_.sample_rate);
-  if (config_.metrics != nullptr) {
-    auto& m = *config_.metrics;
-    n_attempts_ = &m.counter("phy.demod.attempts");
-    n_ok_ = &m.counter("phy.demod.ok");
-    n_no_preamble_ = &m.counter("phy.demod.no_preamble");
-    n_decode_failures_ = &m.counter("phy.demod.decode_failures");
-  }
 }
 
 Expected<bool> FskDemodulator::demodulate_envelope_into(
@@ -131,73 +123,22 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
   const double pre_exact = static_cast<double>(n_pre_chips) * spc;
   const auto needed = static_cast<std::size_t>(
       std::ceil(pre_exact + static_cast<double>(n_sym) * sps));
-  if (n_attempts_ != nullptr) n_attempts_->add();
-  if (envelope.size() < needed) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "capture shorter than one packet"};
-  }
-
-  // Packet detection: the shared FM0 preamble through the same windowed
-  // Pearson correlation as BackscatterDemodulator.
-  std::size_t best = 0;
-  double corr_norm = 0.0;
-  {
-    auto tmpl = scratch.alloc<double>(static_cast<std::size_t>(
-        std::ceil(static_cast<double>(n_pre_chips) * spc)));
-    for (std::size_t i = 0; i < tmpl.size(); ++i) {
-      const auto chip = std::min<std::size_t>(
-          static_cast<std::size_t>(static_cast<double>(i) / spc),
-          n_pre_chips - 1);
-      tmpl[i] = static_cast<double>(preamble_chips_[chip]);
-    }
-    const std::size_t corr_len =
-        dsp::correlation_length(envelope.size(), tmpl.size());
-    if (corr_len == 0 || tmpl.size() < 2) {
-      if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-      return Error{ErrorCode::kNoPreamble, "correlation empty"};
-    }
-    auto corr = scratch.alloc<double>(corr_len);
-    dsp::pearson_correlation_into(envelope, tmpl, corr);
-    std::size_t search_end = corr.size();
-    if (needed < envelope.size())
-      search_end = std::min(search_end, envelope.size() - needed + 1);
-    double best_v = -1e300;
-    for (std::size_t i = 0; i < search_end; ++i) {
-      const double m = std::abs(corr[i]);
-      if (m > best_v) { best_v = m; best = i; }
-    }
-    corr_norm = best_v;
-  }
-  if (corr_norm < config_.detect_threshold) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "no preamble above threshold"};
-  }
-
-  // Two-level channel estimate from the FM0 preamble chips (mid level feeds
-  // the tone detector's mean removal; amp only reports the link swing).
+  // Packet detection on the shared FM0 preamble, then the two-level channel
+  // estimate from its chips (mid level feeds the tone detector's mean
+  // removal; amp only reports the link swing).
+  const auto detected =
+      detect_preamble(envelope, spc, preamble_chips_, needed,
+                      config_.detect_threshold, scratch, metrics_);
+  if (!detected.ok()) return detected.error();
+  const std::size_t best = detected.value().start;
   double amp = 0.0, mid = 0.0;
   {
-    auto pre_soft = scratch.alloc<double>(n_pre_chips);
-    BackscatterDemodulator::integrate_chips_into(
-        envelope, static_cast<double>(best), spc, pre_soft);
-    double hi = 0.0, lo = 0.0;
-    std::size_t nhi = 0, nlo = 0;
-    for (std::size_t c = 0; c < n_pre_chips; ++c) {
-      if (preamble_chips_[c] > 0) { hi += pre_soft[c]; ++nhi; }
-      else { lo += pre_soft[c]; ++nlo; }
-    }
-    if (nhi == 0 || nlo == 0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "degenerate preamble"};
-    }
-    hi /= static_cast<double>(nhi);
-    lo /= static_cast<double>(nlo);
-    amp = (hi - lo) / 2.0;
-    mid = (hi + lo) / 2.0;
-    if (amp == 0.0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "zero modulation depth"};
-    }
+    const obs::ScopedTimer timer(metrics_.chanest);
+    const auto levels = estimate_levels(envelope, best, spc, preamble_chips_,
+                                        scratch, metrics_);
+    if (!levels.ok()) return levels.error();
+    amp = levels.value().amp;
+    mid = levels.value().mid;
   }
 
   // Goertzel bank per symbol window: argmax tone decides the symbol;
@@ -222,7 +163,7 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
         std::lround(data_start + static_cast<double>(s + 1) * sps));
     w_hi = std::min(w_hi, envelope.size());
     if (w_lo >= w_hi) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
+      if (metrics_.decode_failures != nullptr) metrics_.decode_failures->add();
       return Error{ErrorCode::kDecodeFailure, "empty symbol window"};
     }
     const std::size_t n = w_hi - w_lo;
@@ -246,14 +187,14 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
     }
   }
   if (sig_power <= 0.0) {
-    if (n_decode_failures_ != nullptr) n_decode_failures_->add();
+    if (metrics_.decode_failures != nullptr) metrics_.decode_failures->add();
     return Error{ErrorCode::kDecodeFailure, "no tone energy"};
   }
 
   out.start_sample = best;
   out.channel_amp = std::abs(amp);
   out.mid_level = mid;
-  out.preamble_corr = corr_norm;
+  out.preamble_corr = detected.value().corr;
   out.snr_db =
       err_power > 0.0
           ? std::clamp(10.0 * std::log10(sig_power / err_power), -60.0, 60.0)
@@ -261,7 +202,7 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
   // Detection bandwidth = the symbol rate (one Goertzel bin per symbol).
   out.quality = link_quality_from_error_ratio(err_power / sig_power,
                                               params_.symbol_rate());
-  if (n_ok_ != nullptr) n_ok_->add();
+  if (metrics_.ok != nullptr) metrics_.ok->add();
   return true;
 }
 

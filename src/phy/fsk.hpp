@@ -90,10 +90,7 @@ class FskDemodulator {
   FskParams params_;
   Chips preamble_chips_;
   dsp::BiquadCascade lowpass_;
-  obs::Counter* n_attempts_ = nullptr;
-  obs::Counter* n_ok_ = nullptr;
-  obs::Counter* n_no_preamble_ = nullptr;
-  obs::Counter* n_decode_failures_ = nullptr;
+  DemodInstruments metrics_;
 };
 
 }  // namespace pab::phy

@@ -76,7 +76,7 @@ std::vector<SwitchState> backscatter_waveform(std::span<const std::uint8_t> bits
 }
 
 BackscatterDemodulator::BackscatterDemodulator(DemodConfig config)
-    : config_(config) {
+    : config_(config), metrics_(config.metrics) {
   require(config.bitrate > 0.0, "Demodulator: bitrate must be positive");
   require(config.sample_rate > 0.0, "Demodulator: sample rate must be positive");
   require(config.carrier_hz > 0.0, "Demodulator: carrier must be positive");
@@ -90,15 +90,101 @@ BackscatterDemodulator::BackscatterDemodulator(DemodConfig config)
                                       config_.sample_rate);
   if (config_.metrics != nullptr) {
     auto& m = *config_.metrics;
-    t_correlate_ = &m.histogram("phy.demod.correlate_seconds");
-    t_chanest_ = &m.histogram("phy.demod.chanest_seconds");
     t_equalize_ = &m.histogram("phy.demod.equalize_seconds");
     t_downconvert_ = &m.histogram("phy.demod.downconvert_seconds");
-    n_attempts_ = &m.counter("phy.demod.attempts");
-    n_ok_ = &m.counter("phy.demod.ok");
-    n_no_preamble_ = &m.counter("phy.demod.no_preamble");
-    n_decode_failures_ = &m.counter("phy.demod.decode_failures");
   }
+}
+
+DemodInstruments::DemodInstruments(obs::MetricRegistry* metrics) {
+  if (metrics == nullptr) return;
+  correlate = &metrics->histogram("phy.demod.correlate_seconds");
+  chanest = &metrics->histogram("phy.demod.chanest_seconds");
+  attempts = &metrics->counter("phy.demod.attempts");
+  ok = &metrics->counter("phy.demod.ok");
+  no_preamble = &metrics->counter("phy.demod.no_preamble");
+  decode_failures = &metrics->counter("phy.demod.decode_failures");
+  lags_screened = &metrics->counter("phy.demod.correlate.lags_screened");
+  lags_refined = &metrics->counter("phy.demod.correlate.lags_refined");
+}
+
+namespace {
+
+void bump(obs::Counter* c, std::uint64_t n = 1) {
+  if (c != nullptr) c->add(n);
+}
+
+}  // namespace
+
+Expected<PreambleDetection> detect_preamble(
+    std::span<const double> envelope, double spc,
+    std::span<const std::int8_t> preamble_chips, std::size_t needed,
+    double threshold, dsp::Arena& scratch, const DemodInstruments& metrics) {
+  bump(metrics.attempts);
+  if (envelope.size() < needed) {
+    bump(metrics.no_preamble);
+    return Error{ErrorCode::kNoPreamble, "capture shorter than one packet"};
+  }
+  const auto arena_frame = scratch.frame();
+  dsp::PearsonPeak peak;
+  {
+    const obs::ScopedTimer timer(metrics.correlate);
+    // Zero-mean preamble template at envelope rate.
+    const std::size_t n_chips = preamble_chips.size();
+    auto tmpl = scratch.alloc<double>(static_cast<std::size_t>(
+        std::ceil(static_cast<double>(n_chips) * spc)));
+    for (std::size_t i = 0; i < tmpl.size(); ++i) {
+      const auto chip = std::min<std::size_t>(
+          static_cast<std::size_t>(static_cast<double>(i) / spc), n_chips - 1);
+      tmpl[i] = static_cast<double>(preamble_chips[chip]);
+    }
+    const std::size_t corr_len =
+        dsp::correlation_length(envelope.size(), tmpl.size());
+    if (corr_len == 0 || tmpl.size() < 2) {
+      bump(metrics.no_preamble);
+      return Error{ErrorCode::kNoPreamble, "correlation empty"};
+    }
+    // Search only the lags after which the whole packet fits.
+    std::size_t search_len = corr_len;
+    if (needed < envelope.size())
+      search_len = std::min(search_len, envelope.size() - needed + 1);
+    peak = dsp::pearson_peak(envelope, tmpl, search_len, scratch);
+  }
+  bump(metrics.lags_screened, peak.lags_screened);
+  bump(metrics.lags_refined, peak.lags_refined);
+  if (peak.value < threshold) {
+    bump(metrics.no_preamble);
+    return Error{ErrorCode::kNoPreamble, "no preamble above threshold"};
+  }
+  return PreambleDetection{peak.lag, peak.value};
+}
+
+Expected<ChannelLevels> estimate_levels(
+    std::span<const double> envelope, std::size_t start, double spc,
+    std::span<const std::int8_t> preamble_chips, dsp::Arena& scratch,
+    const DemodInstruments& metrics) {
+  const auto arena_frame = scratch.frame();
+  const std::size_t n_chips = preamble_chips.size();
+  auto pre_soft = scratch.alloc<double>(n_chips);
+  BackscatterDemodulator::integrate_chips_into(
+      envelope, static_cast<double>(start), spc, pre_soft);
+  double hi = 0.0, lo = 0.0;
+  std::size_t nhi = 0, nlo = 0;
+  for (std::size_t c = 0; c < n_chips; ++c) {
+    if (preamble_chips[c] > 0) { hi += pre_soft[c]; ++nhi; }
+    else { lo += pre_soft[c]; ++nlo; }
+  }
+  if (nhi == 0 || nlo == 0) {
+    bump(metrics.decode_failures);
+    return Error{ErrorCode::kDecodeFailure, "degenerate preamble"};
+  }
+  hi /= static_cast<double>(nhi);
+  lo /= static_cast<double>(nlo);
+  const ChannelLevels levels{(hi - lo) / 2.0, (hi + lo) / 2.0};
+  if (levels.amp == 0.0) {
+    bump(metrics.decode_failures);
+    return Error{ErrorCode::kDecodeFailure, "zero modulation depth"};
+  }
+  return levels;
 }
 
 void BackscatterDemodulator::integrate_chips_into(std::span<const double> env,
@@ -138,82 +224,22 @@ Expected<bool> BackscatterDemodulator::demodulate_envelope_into(
   const std::size_t n_data_chips = 2 * n_bits;
   const auto needed = static_cast<std::size_t>(
       std::ceil(static_cast<double>(n_pre_chips + n_data_chips) * spc));
-  if (n_attempts_ != nullptr) n_attempts_->add();
-  if (envelope.size() < needed) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "capture shorter than one packet"};
-  }
-
-  // Packet detection: preamble template correlation + peak search.
-  std::size_t best = 0;
-  double corr_norm = 0.0;
-  {
-    const obs::ScopedTimer timer(t_correlate_);
-
-    // Zero-mean preamble template at envelope rate.
-    auto tmpl = scratch.alloc<double>(static_cast<std::size_t>(
-        std::ceil(static_cast<double>(n_pre_chips) * spc)));
-    for (std::size_t i = 0; i < tmpl.size(); ++i) {
-      const auto chip = std::min<std::size_t>(
-          static_cast<std::size_t>(static_cast<double>(i) / spc), n_pre_chips - 1);
-      tmpl[i] = static_cast<double>(preamble_chips_[chip]);
-    }
-
-    // Windowed Pearson correlation: immune to the un-modulated carrier offset
-    // beneath the packet and to level transients at the capture edges.
-    const std::size_t corr_len =
-        dsp::correlation_length(envelope.size(), tmpl.size());
-    if (corr_len == 0 || tmpl.size() < 2) {
-      if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-      return Error{ErrorCode::kNoPreamble, "correlation empty"};
-    }
-    auto corr = scratch.alloc<double>(corr_len);
-    dsp::pearson_correlation_into(envelope, tmpl, corr);
-
-    // Restrict the search so the whole packet fits after the detected start.
-    std::size_t search_end = corr.size();
-    if (needed < envelope.size())
-      search_end = std::min(search_end, envelope.size() - needed + 1);
-    // The backscatter component may add in anti-phase with the direct carrier,
-    // inverting the envelope levels; search on |corr| and let the signed
-    // channel estimate absorb the inversion.
-    double best_v = -1e300;
-    for (std::size_t i = 0; i < search_end; ++i) {
-      const double m = std::abs(corr[i]);
-      if (m > best_v) { best_v = m; best = i; }
-    }
-    corr_norm = best_v;
-  }
-  if (corr_norm < config_.detect_threshold) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "no preamble above threshold"};
-  }
+  const auto detected =
+      detect_preamble(envelope, spc, preamble_chips_, needed,
+                      config_.detect_threshold, scratch, metrics_);
+  if (!detected.ok()) return detected.error();
+  const std::size_t best = detected.value().start;
 
   // Channel estimation from the preamble chips + soft chip integration.
   double amp = 0.0, mid = 0.0;
   auto soft = scratch.alloc<double>(n_data_chips);
   {
-    const obs::ScopedTimer timer(t_chanest_);
-    auto pre_soft = scratch.alloc<double>(n_pre_chips);
-    integrate_chips_into(envelope, static_cast<double>(best), spc, pre_soft);
-    double hi = 0.0, lo = 0.0;
-    std::size_t nhi = 0, nlo = 0;
-    for (std::size_t c = 0; c < n_pre_chips; ++c) {
-      if (preamble_chips_[c] > 0) { hi += pre_soft[c]; ++nhi; }
-      else { lo += pre_soft[c]; ++nlo; }
-    }
-    if (nhi == 0 || nlo == 0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "degenerate preamble"};
-    }
-    hi /= static_cast<double>(nhi);
-    lo /= static_cast<double>(nlo);
-    amp = (hi - lo) / 2.0;  // signed: negative for inverted levels
-    mid = (hi + lo) / 2.0;
-    if (amp == 0.0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "zero modulation depth"};
-    }
+    const obs::ScopedTimer timer(metrics_.chanest);
+    const auto levels = estimate_levels(envelope, best, spc, preamble_chips_,
+                                        scratch, metrics_);
+    if (!levels.ok()) return levels.error();
+    amp = levels.value().amp;  // signed: negative for inverted levels
+    mid = levels.value().mid;
 
     // Soft data chips, normalized to +/-1 nominal.
     const double data_start =
@@ -227,7 +253,7 @@ Expected<bool> BackscatterDemodulator::demodulate_envelope_into(
   out.start_sample = best;
   out.channel_amp = std::abs(amp);
   out.mid_level = mid;
-  out.preamble_corr = corr_norm;
+  out.preamble_corr = detected.value().corr;
 
   if (config_.decision_directed_equalizer) {
     // Second pass: treat the first decision as training, equalize the chip
@@ -266,7 +292,7 @@ Expected<bool> BackscatterDemodulator::demodulate_envelope_into(
   // Detection bandwidth = the chip rate.
   out.quality = link_quality_from_error_ratio(noise / (amp * amp),
                                               2.0 * config_.bitrate);
-  if (n_ok_ != nullptr) n_ok_->add();
+  bump(metrics_.ok);
   return true;
 }
 

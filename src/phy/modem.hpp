@@ -118,6 +118,58 @@ struct DemodResult {
   LinkQuality quality;        // EVM/MER/CN0 alongside the SNR estimate
 };
 
+// --- Shared receiver front half ----------------------------------------------
+// Every scheme demodulator detects on the FM0 uplink preamble and estimates
+// the two envelope levels from its chips; these are the shared stages.
+
+// The `phy.demod.*` instruments of those stages plus the outcome counters,
+// resolved once from a registry (all null when metrics are off).
+struct DemodInstruments {
+  DemodInstruments() = default;
+  explicit DemodInstruments(obs::MetricRegistry* metrics);
+  obs::Histogram* correlate = nullptr;     // phy.demod.correlate_seconds
+  obs::Histogram* chanest = nullptr;       // phy.demod.chanest_seconds
+  obs::Counter* attempts = nullptr;
+  obs::Counter* ok = nullptr;
+  obs::Counter* no_preamble = nullptr;
+  obs::Counter* decode_failures = nullptr;
+  // Detector work (dsp::PearsonPeak): lags screened / computed exactly.
+  obs::Counter* lags_screened = nullptr;
+  obs::Counter* lags_refined = nullptr;
+};
+
+struct PreambleDetection {
+  std::size_t start = 0;  // envelope index of the packet start
+  double corr = 0.0;      // peak |Pearson correlation|
+};
+
+// Packet detection: counts the attempt, rejects captures shorter than
+// `needed` samples, builds the preamble template at `spc` envelope samples
+// per chip, and finds the first lag of the |Pearson correlation| peak among
+// the lags where a `needed`-sample packet still fits (dsp::pearson_peak:
+// the lag and value of an exhaustive search, bit for bit).  Windowed Pearson
+// correlation is immune to the un-modulated carrier offset beneath the
+// packet and to level transients at the capture edges; the magnitude is
+// searched because the backscatter component may add in anti-phase with the
+// direct carrier, inverting the envelope levels.  kNoPreamble when nothing
+// clears `threshold`.
+[[nodiscard]] Expected<PreambleDetection> detect_preamble(
+    std::span<const double> envelope, double spc,
+    std::span<const std::int8_t> preamble_chips, std::size_t needed,
+    double threshold, dsp::Arena& scratch, const DemodInstruments& metrics);
+
+struct ChannelLevels {
+  double amp = 0.0;  // signed half-swing: negative for inverted levels
+  double mid = 0.0;  // level midpoint
+};
+
+// Two-level channel estimate from the preamble chips integrated at `start`.
+// kDecodeFailure when the preamble is degenerate or has zero swing.
+[[nodiscard]] Expected<ChannelLevels> estimate_levels(
+    std::span<const double> envelope, std::size_t start, double spc,
+    std::span<const std::int8_t> preamble_chips, dsp::Arena& scratch,
+    const DemodInstruments& metrics);
+
 class BackscatterDemodulator {
  public:
   explicit BackscatterDemodulator(DemodConfig config);
@@ -170,14 +222,9 @@ class BackscatterDemodulator {
   // would allocate in the hot path).
   dsp::BiquadCascade lowpass_;
   // Resolved once at construction from config_.metrics (null = metrics off).
-  obs::Histogram* t_correlate_ = nullptr;
-  obs::Histogram* t_chanest_ = nullptr;
+  DemodInstruments metrics_;
   obs::Histogram* t_equalize_ = nullptr;
   obs::Histogram* t_downconvert_ = nullptr;
-  obs::Counter* n_attempts_ = nullptr;
-  obs::Counter* n_ok_ = nullptr;
-  obs::Counter* n_no_preamble_ = nullptr;
-  obs::Counter* n_decode_failures_ = nullptr;
 };
 
 // Convenience: demodulate and reassemble a full uplink packet with

@@ -54,8 +54,8 @@ struct Scenario {
 
   ProjectorSpec projector{};
 
-  Waveform waveform{};  // single-link uplink trials (Session::run)
-  FdmaPlan fdma{};      // concurrent frames (Session::run_network)
+  Waveform waveform{};  // single-link uplink trials (TrialKind::kUplink)
+  FdmaPlan fdma{};      // concurrent frames (TrialKind::kNetwork trials)
 
   // ---- Named presets (replace the pool_a_config()-style free functions) ----
   [[nodiscard]] static Scenario pool_a();         // 3 x 4 m tank, section 5.1

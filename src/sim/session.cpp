@@ -110,14 +110,20 @@ const core::ModulationStates& Session::modulation(std::size_t j,
       return it->second;
     }
   }
-  n_mod_misses_->add();
   // Evaluate outside the lock (circuit-model walk); losing a concurrent race
-  // is benign, both compute identical values and the first insert wins.
+  // is benign, both compute identical values and the first insert wins.  As
+  // in channel::TapCache, only the winning insert counts a miss; the loser
+  // returns the cached entry and counts a hit.
   const core::ModulationStates states =
       core::modulation_states(front_ends_.at(j), carrier_hz, bitrate);
   std::unique_lock lock(modulation_mutex_);
   const auto [it, inserted] = modulation_cache_.emplace(key, states);
-  if (inserted) modulation_evaluations_.fetch_add(1, std::memory_order_relaxed);
+  if (inserted) {
+    modulation_evaluations_.fetch_add(1, std::memory_order_relaxed);
+    n_mod_misses_->add();
+  } else {
+    n_mod_hits_->add();
+  }
   return it->second;
 }
 

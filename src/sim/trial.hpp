@@ -11,10 +11,10 @@
 // `Session::run_trial` and `BatchRunner::run` dispatch on TrialKind, either
 // at compile time (template parameter, typed result) or at run time (enum
 // value, std::variant result -- the form the campaign engine and the worker
-// protocol use, where the kind arrives over the wire).  This header replaces
+// protocol use, where the kind arrives over the wire).  This header replaced
 // the old three-method sprawl (`run`/`run_network`/`run_timeline` on Session,
-// `run_uplink`/`run_network`/`run_timeline` on BatchRunner); the old names
-// remain as deprecated shims for one release.
+// `run_uplink`/`run_network`/`run_timeline` on BatchRunner); those names are
+// gone.
 #pragma once
 
 #include <cstddef>

@@ -4,10 +4,12 @@
 // rates visible without perturbing determinism.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "channel/tapcache.hpp"
 #include "obs/metrics.hpp"
 #include "sim/batch.hpp"
 
@@ -197,6 +199,107 @@ TEST(SessionMetrics, TapCacheHitMissCountersMatchCacheAccounting) {
   // The decode chain's stage timers saw every trial too.
   EXPECT_EQ(reg.histogram("phy.demod.correlate_seconds").count(), 10u);
   EXPECT_EQ(reg.histogram("core.link.decode_seconds").count(), 10u);
+}
+
+// Threads that race on one cold key all compute the taps, but only the
+// winning insert is an evaluation.  The miss counter must follow the insert,
+// not the failed lookup, or a lost race counts a miss that no evaluation
+// matches.  Each round starts a fresh cache and releases 8 threads from one
+// barrier onto the same key.
+TEST(TapCacheMetrics, RacingColdLookupsCountOneMissPerEvaluation) {
+  constexpr unsigned kThreads = 8;
+  constexpr int kRounds = 40;
+  constexpr int kLookupsPerThread = 4;
+  const channel::Vec3 a{1.0, 1.0, 0.5}, b{2.0, 2.5, 0.7};
+  for (int round = 0; round < kRounds; ++round) {
+    MetricRegistry reg;
+    const channel::TapCache cache(channel::make_pool_a(), 2, true, &reg);
+    std::barrier start(kThreads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t)
+      pool.emplace_back([&] {
+        start.arrive_and_wait();
+        for (int i = 0; i < kLookupsPerThread; ++i)
+          (void)cache.taps(a, b, 15000.0);
+      });
+    for (auto& th : pool) th.join();
+    const std::uint64_t hits = reg.counter("channel.tapcache.hits").value();
+    const std::uint64_t misses = reg.counter("channel.tapcache.misses").value();
+    ASSERT_EQ(cache.evaluations(), 1u) << "round " << round;
+    ASSERT_EQ(misses, cache.evaluations()) << "round " << round;
+    ASSERT_EQ(hits + misses, cache.lookups()) << "round " << round;
+    ASSERT_EQ(cache.lookups(), std::uint64_t{kThreads} * kLookupsPerThread);
+  }
+}
+
+// The session's modulation cache has the same lookup-compute-insert shape
+// and the same accounting rule.
+TEST(SessionMetrics, RacingColdModulationLookupsCountOneMiss) {
+  constexpr unsigned kThreads = 8;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    MetricRegistry reg;
+    const sim::Session session(sim::Scenario::pool_a().with_seed(1), &reg);
+    std::barrier start(kThreads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t)
+      pool.emplace_back([&] {
+        start.arrive_and_wait();
+        (void)session.modulation(0, 18000.0, 1000.0);
+      });
+    for (auto& th : pool) th.join();
+    const std::uint64_t hits =
+        reg.counter("sim.session.modulation_cache_hits").value();
+    const std::uint64_t misses =
+        reg.counter("sim.session.modulation_cache_misses").value();
+    ASSERT_EQ(session.modulation_evaluations(), 1u) << "round " << round;
+    ASSERT_EQ(misses, 1u) << "round " << round;
+    ASSERT_EQ(hits + misses, kThreads) << "round " << round;
+  }
+}
+
+// FSK detects through the same shared preamble stage as FM0, so its
+// sessions time correlation and channel estimation per decode too.
+TEST(SessionMetrics, FskDemodRecordsDetectionStageTimers) {
+  for (const phy::SchemeId scheme : {phy::SchemeId::kFsk2, phy::SchemeId::kFsk4}) {
+    MetricRegistry reg;
+    sim::Scenario sc = sim::Scenario::pool_a().with_seed(3);
+    sc.waveform.scheme = scheme;
+    const sim::Session session(sc, &reg);
+    const auto trials = sim::BatchRunner(2, &reg).run<sim::TrialKind::kUplink>(session, 6);
+    for (const auto& t : trials) ASSERT_TRUE(t.ok());
+    EXPECT_EQ(reg.histogram("phy.demod.correlate_seconds").count(), 6u);
+    EXPECT_EQ(reg.histogram("phy.demod.chanest_seconds").count(), 6u);
+    EXPECT_EQ(reg.counter("phy.demod.attempts").value(), 6u);
+    EXPECT_EQ(reg.counter("phy.demod.ok").value(), 6u);
+    EXPECT_GT(reg.counter("phy.demod.correlate.lags_screened").value(), 0u);
+  }
+}
+
+// Deterministic detector work over fig7's waveform-level sweep (Pool A,
+// seed 77, 16 trials): the screen settles all but a sliver of the searched
+// lags, so at most 1% are recomputed exactly.  Counter values are the same
+// at any thread count.
+TEST(SessionMetrics, DetectorRefinesAtMostOnePercentOfScreenedLags) {
+  std::uint64_t per_threads[2][2] = {};
+  for (int i = 0; i < 2; ++i) {
+    MetricRegistry reg;
+    const sim::Session session(sim::Scenario::pool_a().with_seed(77), &reg);
+    const auto trials = sim::BatchRunner(i == 0 ? 1 : 4, &reg)
+                            .run<sim::TrialKind::kUplink>(session, 16);
+    for (const auto& t : trials) ASSERT_TRUE(t.ok());
+    const std::uint64_t screened =
+        reg.counter("phy.demod.correlate.lags_screened").value();
+    const std::uint64_t refined =
+        reg.counter("phy.demod.correlate.lags_refined").value();
+    EXPECT_GT(screened, 16u * 1000u);
+    EXPECT_GE(refined, 16u);  // at least the peak of every decode
+    EXPECT_LE(refined * 100, screened);
+    per_threads[i][0] = screened;
+    per_threads[i][1] = refined;
+  }
+  EXPECT_EQ(per_threads[0][0], per_threads[1][0]);
+  EXPECT_EQ(per_threads[0][1], per_threads[1][1]);
 }
 
 // Instrumentation must not perturb the RNG substreams: trials through a
