@@ -19,9 +19,6 @@ void NodeLifecycle::attach(sim::Timeline& timeline, double until_s) {
   require(until_s >= timeline.now(), "NodeLifecycle: horizon in the past");
   attached_ = true;
   until_s_ = until_s;
-  // The node's timestamped ledger feeds interval queries and the event-log
-  // reconstruction audit.
-  harvester_.ledger().record_entries(true);
   // First tick fires immediately: it integrates [now, now + tick).
   timeline.schedule_at(timeline.now(), "node.tick",
                        [this](sim::Timeline& tl) { tick(tl); }, config_.tick_s);
@@ -33,9 +30,10 @@ void NodeLifecycle::tick(sim::Timeline& timeline) {
   const auto step =
       harvester_.step_at(t, config_.tick_s, p, config_.idle_load_w,
                          config_.v_ceiling);
-  // Mirror exactly what the ledger booked into the event log so the audit's
-  // reconstruction ("energy.<category>" entries summed in log order) matches
-  // the live ledger bit for bit.
+  // Mirror exactly what the ledger booked into the event log.  The ledger
+  // keeps totals only; these entries are the timestamped record, and the
+  // audit's reconstruction ("energy.<category>" entries summed in log order)
+  // matches the ledger's totals bit for bit.
   if (step.harvested_j > 0.0)
     timeline.charge("energy.harvested", step.harvested_j);
   if (step.consumed_j > 0.0) timeline.charge("energy.idle", step.consumed_j);

@@ -31,7 +31,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -94,8 +93,9 @@ class Timeline {
   std::uint64_t schedule_in(double dt, std::string_view label,
                             TimelineCallback fn = nullptr, double value = 0.0);
 
-  // Cancel a pending event; returns false if it already fired or was
-  // cancelled.  Cancelled events never appear in the log.
+  // Cancel a pending event; returns false if it already fired, was
+  // cancelled, or is not a scheduled event's id.  Cancelled events never
+  // appear in the log.  O(pending): a linear search of the queue.
   bool cancel(std::uint64_t id);
 
   // Log an instantaneous event at now() (a marker or a non-time quantity such
@@ -145,23 +145,41 @@ class Timeline {
                  std::string_view prefix = "sim.timeline") const;
 
  private:
-  struct Scheduled {
-    std::string label;
+  // One pending event in the binary min-heap.  The heap orders entries by
+  // (time, seq); `slot` indexes the event's payload in slots_.
+  struct Pending {
+    double time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  // What a pending event carries.  Slots are recycled through free_slots_,
+  // so a warmed timeline schedules and fires without touching the heap.
+  struct Payload {
+    std::uint32_t label = 0;
     double value = 0.0;
     TimelineCallback fn;
   };
+  // Per interned label: its name and its running charge total.
+  struct Tally {
+    std::string name;
+    NeumaierSum sum;
+  };
 
-  void record(double t, std::uint64_t seq, std::string_view label, double value,
+  static bool fires_after(const Pending& a, const Pending& b);
+  [[nodiscard]] std::uint32_t intern(std::string_view label);
+  void record(double t, std::uint64_t seq, std::uint32_t label, double value,
               TimelineEventKind kind);
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  // Pending events keyed by (time, seq): std::map iteration *is* the stable
-  // (time, sequence) fire order, with no hash- or pointer-order to leak in.
-  std::map<std::pair<double, std::uint64_t>, Scheduled> queue_;
-  std::map<std::uint64_t, double> id_time_;  // pending id -> scheduled time
+  std::vector<Pending> queue_;  // binary min-heap on (time, seq)
+  std::vector<Payload> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<TimelineEvent> log_;
-  std::map<std::string, NeumaierSum, std::less<>> sums_;
+  // Label interning: name -> id in lexicographic order (charged_prefix walks
+  // it), id -> name and total in tallies_.
+  std::map<std::string, std::uint32_t, std::less<>> label_ids_;
+  std::vector<Tally> tallies_;
   std::size_t processed_ = 0;
   bool logging_ = true;
 };

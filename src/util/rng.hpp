@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace pab {
 
 class Rng {
@@ -21,9 +23,13 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  // Standard normal (or scaled) sample.
+  // Standard normal (or scaled) sample.  Scales a standard draw exactly as
+  // std::normal_distribution<double>(mean, stddev) does internally, so the
+  // values and the engine stream are identical for stddev > 0, and stddev 0
+  // (outside that distribution's domain) returns `mean`.
   [[nodiscard]] double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    require(stddev >= 0.0, "Rng::gaussian: negative stddev");
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   // Uniform integer in [lo, hi] inclusive.

@@ -2,6 +2,8 @@
 // and the Expected error type.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "util/bitops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -107,6 +109,29 @@ TEST(Rng, GaussianMoments) {
   const auto xs = rng.awgn(200000, 2.0);
   EXPECT_NEAR(mean(xs), 0.0, 0.02);
   EXPECT_NEAR(stddev(xs), 2.0, 0.02);
+}
+
+TEST(Rng, GaussianMatchesNormalDistributionBitForBit) {
+  Rng rng(7);
+  std::mt19937_64 engine(7);
+  for (int i = 0; i < 1000; ++i) {
+    const double mean = 0.25 * (i % 7) - 0.5;
+    const double sd = 1e-3 + 0.5 * (i % 5);
+    EXPECT_EQ(rng.gaussian(mean, sd),
+              std::normal_distribution<double>(mean, sd)(engine));
+  }
+  EXPECT_EQ(rng.engine()(), engine());
+}
+
+TEST(Rng, GaussianWithZeroStddevReturnsMeanAndKeepsTheStream) {
+  Rng zero(2024), unit(2024);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.gaussian(3.5, 0.0), 3.5);
+    (void)unit.gaussian(0.0, 1.0);
+  }
+  // Both consumed the same engine words.
+  EXPECT_EQ(zero.engine()(), unit.engine()());
+  EXPECT_THROW((void)zero.gaussian(0.0, -1.0), std::invalid_argument);
 }
 
 TEST(Rng, BitsAreBalanced) {

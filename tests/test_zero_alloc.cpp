@@ -5,15 +5,19 @@
 // pooled Workspace arena or in capacity retained by the reused UplinkTrial.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <vector>
 
 #include "dsp/arena.hpp"
+#include "energy/harvester.hpp"
+#include "node/lifecycle.hpp"
 #include "obs/alloccount.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/batch.hpp"
 #include "sim/session.hpp"
+#include "sim/timeline.hpp"
 #include "util/rng.hpp"
 
 namespace pab {
@@ -208,6 +212,96 @@ TEST(ZeroAlloc, BatchDispatchMetricsPathAddsNoAllocations) {
       << "metrics accounting allocates on the dispatch hot path";
   EXPECT_GE(reg.counter("sim.batch.trials").value(), 4u * (kReps + 1));
   EXPECT_GE(reg.counter("sim.batch.worker.0.trials").value(), 1u);
+}
+
+// The event queue's steady state: self-rescheduling ticks that charge, the
+// pattern a node lifecycle runs, schedule, fire and charge without touching
+// the heap once the timeline's queue, slot pool and label table are warm.
+TEST(ZeroAlloc, WarmTimelineTickLoopAllocatesNothing) {
+  struct Ticker {
+    void tick(sim::Timeline& tl) {
+      tl.charge("energy.harvested", 1e-6);
+      tl.charge("energy.idle", 1e-6);
+      (void)tl.schedule_in(
+          0.01, "node.tick", [this](sim::Timeline& t) { tick(t); }, 0.01);
+    }
+  };
+  constexpr std::size_t kTickers = 64;
+  std::vector<Ticker> tickers(kTickers);
+  sim::Timeline tl;
+  tl.set_logging(false);
+  for (auto& ticker : tickers)
+    (void)tl.schedule_at(
+        0.0, "node.tick", [&ticker](sim::Timeline& t) { ticker.tick(t); },
+        0.01);
+  for (std::size_t i = 0; i < 10 * kTickers; ++i) ASSERT_TRUE(tl.step());
+
+  const obs::AllocScope scope;
+  for (std::size_t i = 0; i < 100 * kTickers; ++i) ASSERT_TRUE(tl.step());
+  EXPECT_EQ(0u, scope.allocations())
+      << "steady-state tick loop touched the heap (" << scope.allocations()
+      << " allocations, " << scope.bytes() << " bytes)";
+  EXPECT_EQ(tl.pending(), kTickers);
+  EXPECT_EQ(tl.events_processed(), 3 * 110 * kTickers);
+}
+
+// The same loop through real node lifecycles: their ledgers keep totals
+// only, so a tick books joules without growing any per-tick record.
+TEST(ZeroAlloc, WarmNodeLifecycleTicksAllocateNothing) {
+  node::LifecycleConfig lc;
+  lc.tick_s = 0.01;
+  lc.idle_load_w = 1e-3;
+  // Harvest for 2 s out of every 6: each node boots, then browns out.
+  lc.harvest_power_w = [](double t) {
+    return std::fmod(t, 6.0) < 2.0 ? 5e-3 : 0.0;
+  };
+  std::vector<node::NodeLifecycle> nodes;
+  constexpr std::size_t kNodes = 32;
+  nodes.reserve(kNodes);
+  for (std::size_t j = 0; j < kNodes; ++j)
+    nodes.emplace_back(static_cast<std::uint8_t>(j + 1),
+                       energy::Harvester{circuit::Supercapacitor(100e-6)}, lc);
+  sim::Timeline tl;
+  tl.set_logging(false);
+  for (auto& n : nodes) n.attach(tl, 1e6);
+  // Warm through one whole cycle, so every label has been charged once.
+  tl.run_until(6.5);
+  ASSERT_EQ(nodes[0].brown_outs(), 1u);
+
+  const obs::AllocScope scope;
+  tl.run_until(30.0);
+  EXPECT_EQ(0u, scope.allocations())
+      << "steady-state lifecycle ticks touched the heap ("
+      << scope.allocations() << " allocations, " << scope.bytes()
+      << " bytes)";
+  // The window covers power-ups and brown-outs, not only quiet ticks.
+  EXPECT_GE(nodes[0].power_ups(), 4u);
+  EXPECT_GE(nodes[0].brown_outs(), 4u);
+  EXPECT_GT(tl.charged("energy.harvested"), 0.0);
+}
+
+// A whole 200-node, 60 s timeline trial, as pabbench's timeline_energy runs
+// it (log off): its allocations are per-node and per-round setup, far
+// fewer than one per hundred of its ~1.8M events.
+TEST(ZeroAlloc, TimelineTrialAllocatesFarBelowOnePerHundredEvents) {
+  sim::FieldSpec spec;
+  spec.layout = sim::FieldLayout::kRandom;
+  spec.population = 200;
+  spec.seed = 1;
+  obs::MetricRegistry metrics;
+  const sim::Session session(sim::Scenario::open_water(spec).with_seed(1),
+                             &metrics);
+  sim::TrialOptions opts;
+  opts.timeline.keep_log = false;
+
+  const obs::AllocScope scope;
+  const auto r = session.run_trial<sim::TrialKind::kTimeline>(0, opts);
+  const std::uint64_t allocations = scope.allocations();
+  ASSERT_TRUE(r.ok()) << r.error().message();
+  const std::uint64_t events = r.value().events_processed;
+  EXPECT_GT(events, 1000000u);
+  EXPECT_LT(100 * allocations, events)
+      << allocations << " allocations for " << events << " events";
 }
 
 }  // namespace
