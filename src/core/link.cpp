@@ -1,7 +1,9 @@
 #include "core/link.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <string_view>
 
 #include "dsp/envelope.hpp"
 #include "dsp/simd.hpp"
@@ -10,6 +12,29 @@
 #include "util/units.hpp"
 
 namespace pab::core {
+namespace {
+
+// Consecutive stage timings inside one run: each lap() records the time since
+// the previous lap (or construction) into its histogram.  A simulator with no
+// registry attached never reads the clock.
+class StageLaps {
+ public:
+  explicit StageLaps(bool on) : on_(on) {
+    if (on_) mark_ = std::chrono::steady_clock::now();
+  }
+  void lap(obs::Histogram* h) {
+    if (!on_) return;
+    const auto now = std::chrono::steady_clock::now();
+    h->observe(std::chrono::duration<double>(now - mark_).count());
+    mark_ = now;
+  }
+
+ private:
+  bool on_;
+  std::chrono::steady_clock::time_point mark_{};
+};
+
+}  // namespace
 
 ModulationStates modulation_states(const circuit::RectoPiezo& front_end,
                                    double carrier_hz, double bitrate) {
@@ -42,12 +67,14 @@ LinkSimulator::LinkSimulator(SimConfig config, Placement placement,
 
 void LinkSimulator::set_metrics(obs::MetricRegistry* metrics) {
   metrics_ = metrics;
-  t_uplink_run_ = metrics != nullptr
-                      ? &metrics->histogram("core.link.uplink_run_seconds")
-                      : nullptr;
-  t_decode_ = metrics != nullptr
-                  ? &metrics->histogram("core.link.decode_seconds")
-                  : nullptr;
+  const auto resolve = [metrics](std::string_view name) {
+    return metrics != nullptr ? &metrics->histogram(name) : nullptr;
+  };
+  t_uplink_run_ = resolve("core.link.uplink_run_seconds");
+  t_uplink_synth_ = resolve("core.link.uplink.synth_seconds");
+  t_uplink_channel_ = resolve("core.link.uplink.channel_seconds");
+  t_uplink_frontend_ = resolve("core.link.uplink.frontend_seconds");
+  t_decode_ = resolve("core.link.decode_seconds");
 }
 
 const std::vector<channel::PathTap>& LinkSimulator::taps(const channel::Vec3& a,
@@ -74,6 +101,7 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   const double f = cfg.carrier_hz;
   dsp::Arena& arena = ws.arena();
   const auto frame = arena.frame();
+  StageLaps laps(metrics_ != nullptr);
 
   // On-air switch stream for [uplink preamble + data] under the scenario's
   // modulation scheme (phy::Scheme seam; kFm0 reproduces the legacy
@@ -90,6 +118,7 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
       arena.alloc<dsp::cplx>(Projector::cw_envelope_length(total_s, fs));
   projector.cw_envelope_into(f, fs, /*lead_silence_s=*/0.0, tx_samples);
   const dsp::CplxView tx(tx_samples, fs, f);
+  laps.lap(t_uplink_synth_);
 
   // Propagate to the node and the hydrophone (memoized tap sets).
   const auto& taps_pn = taps(placement_.projector, placement_.node, f);
@@ -114,6 +143,7 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   }
   const dsp::CplxView backscatter = channel::apply_taps_baseband(
       dsp::CplxView(scattered_samples, fs, f), taps_nh, arena);
+  laps.lap(t_uplink_channel_);
 
   // Hydrophone: passband voltage with ambient noise.
   const std::size_t n = std::max(direct.size(), backscatter.size());
@@ -154,6 +184,7 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   out.modulation_pressure_pa = out.incident_pressure_pa *
                                std::abs(g_refl - g_abs) *
                                channel::coherent_gain(taps_nh, f);
+  laps.lap(t_uplink_frontend_);
 }
 
 UplinkRunResult LinkSimulator::run_uplink(const Projector& projector,

@@ -142,8 +142,9 @@ class LinkSimulator {
   }
 
   // Attach a metrics registry: times the waveform synthesis and decode stages
-  // (`core.link.*`, `phy.demod.*`) of every subsequent run.  The registry
-  // must outlive the simulator; null detaches.
+  // (`core.link.*`, `phy.demod.*`) of every subsequent run, the synthesis
+  // also split into `core.link.uplink.{synth,channel,frontend}_seconds`.  The
+  // registry must outlive the simulator; null detaches.
   void set_metrics(obs::MetricRegistry* metrics);
 
  private:
@@ -153,6 +154,10 @@ class LinkSimulator {
   std::shared_ptr<channel::TapCache> tap_cache_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Histogram* t_uplink_run_ = nullptr;   // waveform synthesis per trial
+  // Stages of one waveform synthesis, timed inside run_uplink_into.
+  obs::Histogram* t_uplink_synth_ = nullptr;     // switch stream + CW envelope
+  obs::Histogram* t_uplink_channel_ = nullptr;   // tap convolutions + scatter
+  obs::Histogram* t_uplink_frontend_ = nullptr;  // mix, noise, sensitivity
   obs::Histogram* t_decode_ = nullptr;       // full receiver chain per trial
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,41 +20,40 @@ namespace {
 using cplx = std::complex<double>;
 
 // ---- plan cache -------------------------------------------------------------
-// A Plan is immutable after construction: bit-reversal permutation plus exact
-// twiddles exp(-2*pi*i*k/n) (computed per index, not by the accumulated
-// `w *= wlen` recurrence of dsp::fft_inplace, so long transforms keep full
-// twiddle precision).  Cached per power-of-two size; the mutex guards only
-// the lookup, use is lock-free.
+// A Plan is immutable after construction: exact twiddles exp(-2*pi*i*j/n)
+// (computed per index, not by the accumulated `w *= wlen` recurrence of
+// dsp::fft_inplace, so long transforms keep full twiddle precision).  They
+// are stored per stage, contiguously: the stage with butterfly half-span
+// `half` reads tw[half-1 .. 2*half-1), entry k being the size-n twiddle
+// j = k*n/(2*half), so each stage streams its table instead of striding
+// through one size-n/2 table.  The bit-reversal permutation is walked on the
+// fly rather than tabled, which keeps a plan at n-1 complex values -- the
+// size of the strided table plus its index table.  Cached per power-of-two
+// size; the mutex guards only the lookup, use is lock-free.
 
 struct Plan {
-  explicit Plan(std::size_t size) : n(size), rev(size, 0), tw(size / 2) {
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-      std::size_t bit = n >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      rev[i] = j;
-    }
-    for (std::size_t k = 0; k < n / 2; ++k) {
-      const double a = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-      tw[k] = cplx(std::cos(a), std::sin(a));
+  explicit Plan(std::size_t size) : n(size), tw(size - 1) {
+    for (std::size_t half = 1; half < n; half <<= 1) {
+      const std::size_t stride = n / (2 * half);
+      for (std::size_t k = 0; k < half; ++k) {
+        const double a = -kTwoPi * static_cast<double>(k * stride) /
+                         static_cast<double>(n);
+        tw[half - 1 + k] = cplx(std::cos(a), std::sin(a));
+      }
     }
   }
 
   void transform(cplx* data, bool inverse) const {
-    for (std::size_t i = 1; i < n; ++i)
-      if (i < rev[i]) std::swap(data[i], data[rev[i]]);
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t stride = n / len;
-      for (std::size_t i = 0; i < n; i += len) {
-        for (std::size_t k = 0; k < len / 2; ++k) {
-          const cplx w = inverse ? std::conj(tw[k * stride]) : tw[k * stride];
-          const cplx u = data[i + k];
-          const cplx v = data[i + k + len / 2] * w;
-          data[i + k] = u + v;
-          data[i + k + len / 2] = u - v;
-        }
-      }
+    for (std::size_t i = 1, j = 0; i < n; ++i) {  // j = bit-reverse of i
+      std::size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      if (i < j) std::swap(data[i], data[j]);
     }
+    const std::span<cplx> all(data, n);
+    for (std::size_t half = 1; half < n; half <<= 1)
+      simd::fft_stage(all, half, std::span(tw).subspan(half - 1, half),
+                      inverse);
     if (inverse) {
       const double inv_n = 1.0 / static_cast<double>(n);
       for (std::size_t i = 0; i < n; ++i) data[i] *= inv_n;
@@ -60,7 +61,6 @@ struct Plan {
   }
 
   std::size_t n;
-  std::vector<std::size_t> rev;
   std::vector<cplx> tw;
 };
 
@@ -96,6 +96,18 @@ obs::Counter& hits_counter() {
   return c;
 }
 
+obs::Counter& blocks_computed_counter() {
+  static obs::Counter& c =
+      obs::MetricRegistry::global().counter("dsp.fftconv.blocks_computed");
+  return c;
+}
+
+obs::Counter& blocks_reused_counter() {
+  static obs::Counter& c =
+      obs::MetricRegistry::global().counter("dsp.fftconv.blocks_reused");
+  return c;
+}
+
 // Overlap-save block size: ~4x the kernel amortizes the (nh-1)-sample block
 // overlap, floored at 256; never larger than one transform covering the
 // whole output.
@@ -107,7 +119,11 @@ std::size_t choose_block(std::size_t nh, std::size_t nfull) {
 // Full linear convolution of complex sequences via overlap-save: for each
 // output chunk [pos, pos+S) the transform input is x[pos-(nh-1) .. pos+S)
 // (zero-padded outside x), and the last S samples of the circular product
-// are exactly the linear convolution there.
+// are exactly the linear convolution there.  A block whose window lies
+// wholly inside x and is bytewise equal to the previous block's (also wholly
+// inside x) is not transformed: the same input bytes through the same plan
+// give the same output bytes, which `buf` still holds.  A constant input
+// (the projector's CW envelope) thus computes only its edge blocks.
 void conv_complex(std::span<const cplx> h, std::span<const cplx> x,
                   std::span<cplx> y, Arena& arena) {
   require(!h.empty(), "fftconv: empty kernel");
@@ -129,24 +145,38 @@ void conv_complex(std::span<const cplx> h, std::span<const cplx> x,
 
   auto buf = arena.alloc<cplx>(B);
   const auto nx = static_cast<std::ptrdiff_t>(x.size());
+  const auto nb = static_cast<std::ptrdiff_t>(B);
+  const cplx* prev_window = nullptr;  // previous window, if wholly inside x
+  std::uint64_t computed = 0;
+  std::uint64_t reused = 0;
   for (std::size_t pos = 0; pos < nfull; pos += S) {
     const auto start =
         static_cast<std::ptrdiff_t>(pos) - static_cast<std::ptrdiff_t>(nh - 1);
     const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(start, 0);
-    const std::ptrdiff_t hi =
-        std::min(start + static_cast<std::ptrdiff_t>(B), nx);
-    std::fill(buf.begin(), buf.end(), cplx{});
-    if (hi > lo)
-      std::copy(x.begin() + lo, x.begin() + hi, buf.begin() + (lo - start));
-    plan.transform(buf.data(), /*inverse=*/false);
-    simd::cmul(buf, hspec, buf);
-    plan.transform(buf.data(), /*inverse=*/true);
+    const std::ptrdiff_t hi = std::min(start + nb, nx);
+    const cplx* window =
+        start >= 0 && start + nb <= nx ? x.data() + start : nullptr;
+    if (window != nullptr && prev_window != nullptr &&
+        std::memcmp(window, prev_window, B * sizeof(cplx)) == 0) {
+      ++reused;
+    } else {
+      std::fill(buf.begin(), buf.end(), cplx{});
+      if (hi > lo)
+        std::copy(x.begin() + lo, x.begin() + hi, buf.begin() + (lo - start));
+      plan.transform(buf.data(), /*inverse=*/false);
+      simd::cmul(buf, hspec, buf);
+      plan.transform(buf.data(), /*inverse=*/true);
+      ++computed;
+    }
+    prev_window = window;
     const std::size_t m = std::min(S, nfull - pos);
     std::copy(buf.begin() + static_cast<std::ptrdiff_t>(nh - 1),
               buf.begin() + static_cast<std::ptrdiff_t>(nh - 1 + m),
               y.begin() + static_cast<std::ptrdiff_t>(pos));
   }
   hits_counter().add();
+  blocks_computed_counter().add(computed);
+  blocks_reused_counter().add(reused);
 }
 
 }  // namespace

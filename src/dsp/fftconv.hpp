@@ -5,9 +5,15 @@
 // the FFT path that `fir_filter_into` and the channel tap kernels switch to
 // above a measured crossover (DESIGN.md §12):
 //
-//   * plans (bit-reversal permutation + exact twiddle tables) are cached per
-//     power-of-two size behind a mutex -- computed once per size, then
-//     lock-free to use;
+//   * plans (exact per-stage twiddle tables) are cached per power-of-two
+//     size behind a mutex -- computed once per size, then lock-free to use;
+//   * each radix-2 stage runs through the dispatched simd::fft_stage, whose
+//     vector entries are bitwise equal to the scalar loop, so the transform's
+//     output does not depend on the dispatch table;
+//   * a block whose input window lies wholly inside x and equals the
+//     previous block's window byte for byte reuses that block's output
+//     instead of being transformed -- a constant input (the projector's CW
+//     envelope) computes only its edge blocks, with unchanged output bits;
 //   * scratch comes from the caller's Arena when one is supplied (the
 //     phy::Workspace arena on the trial path) or from a thread-local fallback
 //     arena otherwise, so steady-state calls never touch the heap;
@@ -15,8 +21,10 @@
 //     round-off); the dispatch escape hatch PAB_SIMD=off routes callers back
 //     to the bit-exact direct loops (see dsp/simd.hpp).
 //
-// Every FFT-path call increments the obs counter `dsp.fftconv.hits`; the FIR
-// crossover is published as the gauge `dsp.fftconv.crossover_len`.
+// Every FFT-path call increments the obs counter `dsp.fftconv.hits` and adds
+// its block tallies to `dsp.fftconv.blocks_computed` / `blocks_reused` (all
+// in the global registry); the FIR crossover is published as the gauge
+// `dsp.fftconv.crossover_len`.
 #pragma once
 
 #include <complex>

@@ -1,6 +1,7 @@
 #include "dsp/simd.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <string_view>
@@ -11,6 +12,22 @@
 #include "util/error.hpp"
 
 namespace pab::dsp::simd {
+
+// The radix-2 butterfly loop of the overlap-save FFT (dsp/fftconv.cpp) as it
+// was before the per-stage twiddle tables: same expressions, same order.
+void scalar_fft_stage(cplx* data, std::size_t n, std::size_t half,
+                      const cplx* tw, bool inverse) {
+  for (std::size_t i = 0; i < n; i += 2 * half) {
+    for (std::size_t k = 0; k < half; ++k) {
+      const cplx w = inverse ? std::conj(tw[k]) : tw[k];
+      const cplx u = data[i + k];
+      const cplx v = data[i + k + half] * w;
+      data[i + k] = u + v;
+      data[i + k + half] = u - v;
+    }
+  }
+}
+
 namespace {
 
 // ---- scalar reference table -------------------------------------------------
@@ -97,6 +114,7 @@ constexpr KernelTable kScalarTable = {
     scalar_sum,     scalar_dot,     scalar_dot_conj, scalar_cov_var,
     scalar_axpy_d,  scalar_axpy_c,  scalar_magnitude, scalar_cmul,
     scalar_mix_down, scalar_mix_up, scalar_tone,     scalar_chip_sum_diff,
+    scalar_fft_stage,
 };
 
 // ---- dispatch ---------------------------------------------------------------
@@ -163,6 +181,8 @@ struct Dispatch {
     reg.gauge("dsp.fftconv.crossover_len")
         .set(static_cast<double>(fftconv_fir_crossover()));
     (void)reg.counter("dsp.fftconv.hits");
+    (void)reg.counter("dsp.fftconv.blocks_computed");
+    (void)reg.counter("dsp.fftconv.blocks_reused");
   }
 };
 
@@ -275,6 +295,14 @@ void mix_up(std::span<const cplx> x, double w, std::span<double> out) {
 
 void tone(double w, double amplitude, double phase, std::span<double> out) {
   kernels().tone(w, amplitude, phase, out.data(), out.size());
+}
+
+void fft_stage(std::span<cplx> data, std::size_t half,
+               std::span<const cplx> tw, bool inverse) {
+  require(std::has_single_bit(half) && data.size() % (2 * half) == 0 &&
+              tw.size() >= half,
+          "simd::fft_stage: size mismatch");
+  kernels().fft_stage(data.data(), data.size(), half, tw.data(), inverse);
 }
 
 void chip_sum_diff(std::span<const double> soft, std::span<double> sum,

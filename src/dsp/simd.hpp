@@ -12,7 +12,8 @@
 //   * scalar dispatch  -> bit-identical to the pre-SIMD reference loops;
 //   * AVX2/NEON paths  -> equal to the reference within 1e-9 relative
 //     (vector lanes reassociate sums; oscillators use block-anchored
-//     rotations with libm-exact anchors).
+//     rotations with libm-exact anchors);
+//   * fft_stage        -> bitwise equal to scalar under every table.
 //
 // Escape hatch: PAB_SIMD=off (or "scalar"/"0") in the environment forces the
 // scalar table AND disables FFT fast convolution (dsp/fftconv.hpp), so the
@@ -98,6 +99,16 @@ void magnitude(std::span<const cplx> x, std::span<double> out);
 
 // out[i] = a[i] * b[i]  (complex element-wise product, used on FFT spectra).
 void cmul(std::span<const cplx> a, std::span<const cplx> b, std::span<cplx> out);
+
+// One in-place radix-2 FFT stage: in every span of 2*half points,
+// (u, v) -> (u + v*w_k, u - v*w_k) with w_k = tw[k], or conj(tw[k]) when
+// `inverse`.  `half` must be a power of two, data.size() a multiple of
+// 2*half, and tw.size() >= half.  Unlike the kernels above, every ISA
+// computes the scalar loop's IEEE operations per element (no FMA, no
+// reassociation), so all tables agree bit for bit on finite inputs
+// (DESIGN.md §12).
+void fft_stage(std::span<cplx> data, std::size_t half,
+               std::span<const cplx> tw, bool inverse);
 
 // ---- oscillator kernels ----------------------------------------------------
 // w is the per-sample phase increment in radians.  The scalar path evaluates

@@ -1,9 +1,10 @@
 // AVX2+FMA kernel table.  Compiled into every x86-64 build via per-function
 // target attributes (no special compile flags); selected at runtime only when
-// __builtin_cpu_supports says the host can run it.  All results are
-// tolerance-bounded (<= 1e-9 relative) against the scalar reference table:
-// reductions reassociate across lanes, oscillators rotate block-anchored
-// phasors instead of calling libm per sample.
+// __builtin_cpu_supports says the host can run it.  All results except the
+// FFT stage's are tolerance-bounded (<= 1e-9 relative) against the scalar
+// reference table: reductions reassociate across lanes, oscillators rotate
+// block-anchored phasors instead of calling libm per sample.  The FFT stage
+// is bitwise equal to scalar.
 #include "dsp/simd_kernels.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -11,6 +12,8 @@
 #include <immintrin.h>
 
 #define PAB_AVX2 __attribute__((target("avx2,fma")))
+// For kernels that must match scalar bit for bit: no fma, so no contraction.
+#define PAB_AVX2_NOFMA __attribute__((target("avx2")))
 
 namespace pab::dsp::simd {
 namespace {
@@ -197,10 +200,61 @@ PAB_AVX2 void avx2_chip_sum_diff(const double* soft, double* sum, double* diff,
   detail::chip_sum_diff_ew(soft, sum, diff, n);
 }
 
+// Radix-2 FFT stage, bitwise equal to scalar_fft_stage on finite inputs.
+// Each lane pair holds one complex value.  v*w is formed as (vr*wr - vi*wi,
+// vi*wr + vr*wi) by two multiplies and one addsub: the scalar complex
+// product's ac-bd and ad+bc with the second sum's operands swapped, which
+// IEEE addition allows exactly.  u+v and u-v follow lane by lane, and the
+// inverse conjugates w by flipping the imaginary sign bit, as std::conj
+// does.  The target omits fma on purpose: nothing here may be contracted.
+PAB_AVX2_NOFMA inline __m128d butterfly_product(__m128d v, __m128d w) {
+  const __m128d w_re = _mm_unpacklo_pd(w, w);       // (wr, wr)
+  const __m128d w_im = _mm_unpackhi_pd(w, w);       // (wi, wi)
+  const __m128d v_sw = _mm_shuffle_pd(v, v, 0b01);  // (vi, vr)
+  return _mm_addsub_pd(_mm_mul_pd(v, w_re), _mm_mul_pd(v_sw, w_im));
+}
+
+PAB_AVX2_NOFMA void avx2_fft_stage(cplx* data, std::size_t n, std::size_t half,
+                                   const cplx* tw, bool inverse) {
+  auto* d = reinterpret_cast<double*>(data);
+  const auto* t = reinterpret_cast<const double*>(tw);
+  if (half == 1) {  // one twiddle, butterflies on adjacent points
+    const __m128d w =
+        _mm_xor_pd(_mm_loadu_pd(t), _mm_set_pd(inverse ? -0.0 : 0.0, 0.0));
+    for (std::size_t i = 0; i < n; i += 2) {
+      const __m128d u = _mm_loadu_pd(d + 2 * i);
+      const __m128d vw = butterfly_product(_mm_loadu_pd(d + 2 * i + 2), w);
+      _mm_storeu_pd(d + 2 * i, _mm_add_pd(u, vw));
+      _mm_storeu_pd(d + 2 * i + 2, _mm_sub_pd(u, vw));
+    }
+    return;
+  }
+  // half >= 2 is even: two butterflies per 256-bit step.
+  const double s = inverse ? -0.0 : 0.0;
+  const __m256d conj = _mm256_set_pd(s, 0.0, s, 0.0);
+  for (std::size_t i = 0; i < n; i += 2 * half) {
+    double* pu = d + 2 * i;
+    double* pv = d + 2 * (i + half);
+    for (std::size_t k = 0; k < half; k += 2) {
+      const __m256d w = _mm256_xor_pd(_mm256_loadu_pd(t + 2 * k), conj);
+      const __m256d w_re = _mm256_permute_pd(w, 0b0000);  // (wr, wr) per pair
+      const __m256d w_im = _mm256_permute_pd(w, 0b1111);  // (wi, wi) per pair
+      const __m256d v = _mm256_loadu_pd(pv + 2 * k);
+      const __m256d v_sw = _mm256_permute_pd(v, 0b0101);  // (vi, vr) per pair
+      const __m256d vw = _mm256_addsub_pd(_mm256_mul_pd(v, w_re),
+                                          _mm256_mul_pd(v_sw, w_im));
+      const __m256d u = _mm256_loadu_pd(pu + 2 * k);
+      _mm256_storeu_pd(pu + 2 * k, _mm256_add_pd(u, vw));
+      _mm256_storeu_pd(pv + 2 * k, _mm256_sub_pd(u, vw));
+    }
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     avx2_sum,      avx2_dot,    avx2_dot_conj,  avx2_cov_var,
     avx2_axpy_d,   avx2_axpy_c, avx2_magnitude, avx2_cmul,
     avx2_mix_down, avx2_mix_up, avx2_tone,      avx2_chip_sum_diff,
+    avx2_fft_stage,
 };
 
 }  // namespace

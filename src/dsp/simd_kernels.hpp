@@ -42,7 +42,14 @@ struct KernelTable {
                std::size_t n);
   void (*chip_sum_diff)(const double* soft, double* sum, double* diff,
                         std::size_t n);
+  void (*fft_stage)(cplx* data, std::size_t n, std::size_t half,
+                    const cplx* tw, bool inverse);
 };
+
+// The scalar radix-2 stage (simd.cpp).  Exposed so vector tables without a
+// tested stage of their own can point at it.
+void scalar_fft_stage(cplx* data, std::size_t n, std::size_t half,
+                      const cplx* tw, bool inverse);
 
 // Vector tables; null when the ISA is not compiled in (wrong architecture).
 const KernelTable* avx2_kernels();  // simd_avx2.cpp

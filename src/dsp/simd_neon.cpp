@@ -100,10 +100,13 @@ void neon_chip_sum_diff(const double* soft, double* sum, double* diff,
   detail::chip_sum_diff_ew(soft, sum, diff, n);
 }
 
+// The FFT stage stays scalar: a NEON butterfly would need an aarch64 host
+// to check its bitwise contract against.
 constexpr KernelTable kNeonTable = {
     neon_sum,      neon_dot,    neon_dot_conj,  neon_cov_var,
     neon_axpy_d,   neon_axpy_c, neon_magnitude, neon_cmul,
     neon_mix_down, neon_mix_up, neon_tone,      neon_chip_sum_diff,
+    scalar_fft_stage,
 };
 
 }  // namespace

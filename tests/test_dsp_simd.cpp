@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "dsp/fir.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/simd.hpp"
+#include "obs/metrics.hpp"
 #include "phy/fm0.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -324,6 +327,64 @@ TEST(FftConv, PlanCacheReusesPlansAcrossCalls) {
   EXPECT_GE(planned, 1u);
   fftconv_full(h, x, y);  // same sizes -> no new plan
   EXPECT_EQ(fftconv_plan_cache_size(), planned);
+}
+
+// The projector's CW envelope is constant, so every interior overlap-save
+// window repeats the one before it.  27456 samples against a 521-sample
+// kernel is the 500 bps uplink leg: 8 blocks of 3576 output samples, of
+// which the first (zero-padded head), the second (its predecessor was
+// padded) and the last (padded tail) are computed and the other 5 reused.
+TEST(FftConv, RepeatedWindowsAreReusedNotRecomputed) {
+  auto& reg = obs::MetricRegistry::global();
+  const obs::Counter& computed = reg.counter("dsp.fftconv.blocks_computed");
+  const obs::Counter& reused = reg.counter("dsp.fftconv.blocks_reused");
+  Rng rng(8);
+  const auto h = random_cvec(rng, 521);
+  const std::vector<cplx> cw(27456, cplx(0.8, -0.3));
+  std::vector<cplx> y(cw.size() + h.size() - 1);
+
+  std::uint64_t c0 = computed.value(), r0 = reused.value();
+  fftconv_full(h, cw, y);
+  EXPECT_EQ(computed.value() - c0, 3u);
+  EXPECT_EQ(reused.value() - r0, 5u);
+
+  const auto noise = random_cvec(rng, cw.size());
+  c0 = computed.value();
+  r0 = reused.value();
+  fftconv_full(h, noise, y);
+  EXPECT_EQ(computed.value() - c0, 8u);
+  EXPECT_EQ(reused.value() - r0, 0u);
+}
+
+// The AVX2 radix-2 stage performs the scalar stage's IEEE operations per
+// element, so the two agree byte for byte -- not merely within tolerance --
+// at every transform size and butterfly span, forward and inverse.
+TEST(FftConv, Avx2StageIsBitwiseEqualToScalarStage) {
+  {
+    const DispatchGuard probe(Isa::kAvx2, true);
+    if (simd::active() != Isa::kAvx2) GTEST_SKIP() << "host has no AVX2";
+  }
+  Rng rng(9);
+  for (std::size_t n = 2; n <= 65536; n *= 2) {
+    const auto tw = random_cvec(rng, n / 2);  // any finite twiddles
+    for (const bool inverse : {false, true}) {
+      auto scalar = random_cvec(rng, n);
+      for (std::size_t i = 0; i < n; i += 7) scalar[i] = {-0.0, 0.0};
+      auto avx2 = scalar;
+      for (std::size_t half = 1; half < n; half *= 2) {
+        {
+          const DispatchGuard guard(Isa::kScalar, true);
+          simd::fft_stage(scalar, half, tw, inverse);
+        }
+        {
+          const DispatchGuard guard(Isa::kAvx2, true);
+          simd::fft_stage(avx2, half, tw, inverse);
+        }
+        ASSERT_EQ(std::memcmp(scalar.data(), avx2.data(), n * sizeof(cplx)), 0)
+            << "n " << n << " half " << half << " inverse " << inverse;
+      }
+    }
+  }
 }
 
 // ---- channel tap convolution through the FFT path ---------------------------

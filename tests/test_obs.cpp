@@ -201,6 +201,29 @@ TEST(SessionMetrics, TapCacheHitMissCountersMatchCacheAccounting) {
   EXPECT_EQ(reg.histogram("core.link.decode_seconds").count(), 10u);
 }
 
+// The uplink synthesis is split into three consecutive stage timers inside
+// the core.link.uplink_run_seconds span: each counts one sample per trial,
+// and together they cannot exceed the span that encloses them.
+TEST(SessionMetrics, UplinkStageTimersSplitTheSynthesis) {
+  MetricRegistry reg;
+  const sim::Session session(sim::Scenario::pool_a().with_seed(1), &reg);
+  const auto trials =
+      sim::BatchRunner(2, &reg).run<sim::TrialKind::kUplink>(session, 6);
+  for (const auto& t : trials) ASSERT_TRUE(t.ok());
+  const auto& total = reg.histogram("core.link.uplink_run_seconds");
+  EXPECT_EQ(total.count(), 6u);
+  double stages = 0.0;
+  for (const char* name : {"core.link.uplink.synth_seconds",
+                           "core.link.uplink.channel_seconds",
+                           "core.link.uplink.frontend_seconds"}) {
+    const auto& h = reg.histogram(name);
+    EXPECT_EQ(h.count(), 6u) << name;
+    EXPECT_GT(h.sum(), 0.0) << name;
+    stages += h.sum();
+  }
+  EXPECT_LE(stages, total.sum());
+}
+
 // Threads that race on one cold key all compute the taps, but only the
 // winning insert is an evaluation.  The miss counter must follow the insert,
 // not the failed lookup, or a lost race counts a miss that no evaluation
