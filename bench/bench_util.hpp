@@ -11,13 +11,13 @@
 // stopped exercising the subsystem it claims to measure.
 //
 // Two flags route the same binary through the campaign engine instead:
-//   --campaign              run spec.campaign through the in-process
+//   --campaign              run spec.campaign through the
 //                           BatchExecutor; writes <name>.campaign.records /
 //                           .campaign.metrics.json / .campaign.summary.json
 //                           and prints the summary (no google-benchmark run)
 //   --print-campaign-spec   dump the canonical campaign spec text and exit,
 //                           ready to feed to `pab_serve --spec` for a
-//                           sharded multi-process run of the same sweep
+//                           threaded, checkpointed run of the same sweep
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -62,7 +62,7 @@ inline std::string fmt_sci(double v, int precision = 2) {
 // What a bench binary is: structured, instead of ad-hoc per-bench argument
 // parsing.  `campaign` is the bench's sweep expressed as a CampaignSpec, so
 // the same binary doubles as a campaign job (see the flags above); the spec
-// is also what `pab_serve` shards across worker processes.
+// is also what `pab_serve --spec` runs.
 // `required_counters` are sidecar assertions: global-registry counters the
 // default path must leave nonzero.
 struct BenchSpec {
@@ -109,7 +109,7 @@ inline bool write_file(const std::string& path, const std::string& bytes) {
   return true;
 }
 
-// The --campaign path: the bench's sweep through the in-process executor.
+// The --campaign path: the bench's sweep through the campaign executor.
 inline int run_as_campaign(const BenchSpec& spec) {
   if (!spec.campaign.has_value()) {
     std::fprintf(stderr, "%s: this bench has no campaign projection\n",

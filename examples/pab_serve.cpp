@@ -1,22 +1,21 @@
 // pab_serve: the campaign front-end.
 //
 // Builds a CampaignSpec from flags (or loads a serialized spec file), runs
-// it through the in-process BatchExecutor or the multi-process
-// ProcessExecutor, and writes the artifacts a campaign leaves behind:
+// it through campaign::BatchExecutor, and writes the artifacts a campaign
+// leaves behind:
 //   <out>.records       canonical record-batch bytes (cross-run comparable)
 //   <out>.metrics.json  merged metrics, same schema as the bench sidecars
 //   <out>.summary.json  per-point aggregates
 //
 //   pab_serve --preset pool_a --kind uplink --trials 48
 //             --axis waveform.carrier_hz=12500,15000,17500
-//             --workers 3 --out /tmp/ber_sweep      (one command line)
-//   pab_serve --in-process ... --out /tmp/ber_sweep_ref   # reference run
+//             --threads 3 --out /tmp/ber_sweep      (one command line)
 //
-// A sharded run and an --in-process run of the same spec produce identical
+// Any --shard size and --threads width of the same spec produce identical
 // .records bytes; kill a run mid-campaign (or cap it with --max-shards) and
 // `--checkpoint DIR --resume` finishes it without repeating finished shards.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "campaign/batch_executor.hpp"
-#include "campaign/process_executor.hpp"
 
 namespace {
 
@@ -45,9 +43,6 @@ void usage() {
       "    --axis P=V1,V2,...     sweep axis (repeatable; cartesian product)\n"
       "    --timeline K=V         timeline knob override (repeatable)\n"
       "  execution:\n"
-      "    --in-process           run the BatchExecutor (default: sharded)\n"
-      "    --workers N            worker process count (default: 3)\n"
-      "    --worker-bin PATH      pab_worker binary (default: next to serve)\n"
       "    --threads N            BatchRunner width inside a shard (default 1)\n"
       "    --shard N              trials per shard (default 32)\n"
       "    --checkpoint DIR       persist finished shards under DIR\n"
@@ -87,19 +82,11 @@ bool write_artifact(const std::string& path, const std::string& bytes) {
   return true;
 }
 
-std::string sibling_worker_binary(const char* argv0) {
-  std::string path(argv0);
-  const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? "./pab_worker"
-                                    : path.substr(0, slash + 1) + "pab_worker";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CampaignSpec spec;
   pab::campaign::RunOptions options;
-  bool in_process = false;
   bool print_spec = false;
   std::string out_prefix;
 
@@ -154,12 +141,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       spec.timeline[kv.substr(0, eq)] = std::stod(kv.substr(eq + 1));
-    } else if (arg == "--in-process") {
-      in_process = true;
-    } else if (arg == "--workers" && (v = next()) != nullptr) {
-      options.workers = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--worker-bin" && (v = next()) != nullptr) {
-      options.worker_binary = v;
     } else if (arg == "--threads" && (v = next()) != nullptr) {
       options.worker_threads =
           static_cast<unsigned>(std::strtoul(v, nullptr, 10));
@@ -186,14 +167,7 @@ int main(int argc, char** argv) {
     std::cout << spec.serialize();
     return 0;
   }
-  if (options.worker_binary.empty())
-    options.worker_binary = sibling_worker_binary(argv[0]);
-
-  pab::campaign::BatchExecutor batch;
-  pab::campaign::ProcessExecutor sharded;
-  pab::campaign::Executor& executor =
-      in_process ? static_cast<pab::campaign::Executor&>(batch)
-                 : static_cast<pab::campaign::Executor&>(sharded);
+  pab::campaign::BatchExecutor executor;
   auto result = executor.run(spec, options);
   if (!result.ok()) {
     std::cerr << "pab_serve: " << result.error().message() << "\n";

@@ -1,14 +1,10 @@
-// Executor: the campaign engine's one execution contract.
+// Campaign results: what a run of (CampaignSpec, RunOptions) produces.
 //
-// An Executor turns (CampaignSpec, RunOptions) into a CampaignResult:
-// per-point record batches in trial order, plus the campaign's merged
-// metrics.  Two implementations ship -- BatchExecutor (in-process, shards
-// run serially through sim::BatchRunner) and ProcessExecutor (shards farmed
-// to pab_worker processes over the pipe protocol) -- and the contract is
-// that for the same spec and worker_threads they produce byte-identical
-// records_bytes() and identical deterministic counters, because both sides
-// execute every shard through campaign::run_shard and fold outputs in
-// shard-index order.
+// A CampaignResult holds per-point record batches in trial order plus the
+// campaign's merged metrics.  Every shard executes through
+// campaign::run_shard and outputs fold in shard-index order, so the same
+// spec yields byte-identical records_bytes() at any shard size, thread
+// count or resume split (campaign/batch_executor.hpp runs it).
 #pragma once
 
 #include <cstdint>
@@ -26,8 +22,6 @@ namespace pab::campaign {
 struct RunOptions {
   std::uint64_t shard_size = 32;  // trials per shard (0 = one shard per point)
   unsigned worker_threads = 1;    // BatchRunner width inside each shard
-  unsigned workers = 3;           // ProcessExecutor: worker process count
-  std::string worker_binary;      // ProcessExecutor: path to pab_worker
   std::string checkpoint_dir;     // empty = no checkpointing
   bool resume = false;            // fold in a previous pass's finished shards
   // Test/ops hook: stop (kTimeout error, progress checkpointed)
@@ -44,24 +38,17 @@ struct CampaignResult {
   std::vector<RecordBatch> points;
   obs::MetricsSnapshot metrics;
 
-  // Canonical bytes of every point batch -- the cross-executor equality
-  // token, and the payload of pab_serve's `.records` artifact.
+  // Canonical bytes of every point batch -- the cross-run equality token,
+  // and the payload of pab_serve's `.records` artifact.
   [[nodiscard]] std::string records_bytes() const;
   // Per-point aggregates (trial/ok/error counts, per-column means over ok
   // rows with compensated summation) as JSON, for humans and CI.
   [[nodiscard]] std::string summary_json() const;
 };
 
-class Executor {
- public:
-  virtual ~Executor() = default;
-  [[nodiscard]] virtual pab::Expected<CampaignResult> run(
-      const CampaignSpec& spec, const RunOptions& options) = 0;
-};
-
 // Fold complete shard outputs (all shards of spec.compile(shard_size), in
-// any order) into a CampaignResult.  Shared by both executors and by tests
-// that exercise merge associativity directly.
+// any order) into a CampaignResult.  Used by BatchExecutor and by tests that
+// exercise merge associativity directly.
 [[nodiscard]] pab::Expected<CampaignResult> assemble_result(
     const CampaignSpec& spec, std::vector<ShardOutput> shards);
 

@@ -5,8 +5,9 @@
 // scalar summary every figure actually plots, one column per quantity, plus
 // the trial index and error disposition.  Columns are fixed per TrialKind
 // (column_names), rows are appended in trial order, and serialization is the
-// canonical campaign byte encoding -- so "same results" between executors,
-// shardings, and resume passes is byte equality of the serialized batches.
+// canonical campaign byte encoding -- so "same results" between thread
+// counts, shardings, and resume passes is byte equality of the serialized
+// batches.
 #pragma once
 
 #include <cstdint>

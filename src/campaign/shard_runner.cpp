@@ -35,9 +35,9 @@ pab::Expected<ShardOutput> run_shard(const CampaignSpec& spec,
   if (!opts.ok()) return opts.error();
 
   // A fresh registry per shard makes the snapshot a pure per-shard delta:
-  // session/cache/dispatch counters start at zero no matter which process or
-  // resume pass runs the shard, so folds in shard order reproduce the
-  // single-process totals exactly.
+  // session/cache/dispatch counters start at zero no matter which pass runs
+  // the shard, so folds in shard order reproduce the uninterrupted totals
+  // exactly.
   obs::MetricRegistry registry;
   const sim::Session session(std::move(scenario).value(), &registry);
   const sim::BatchRunner runner(threads == 0 ? 1 : threads, &registry);

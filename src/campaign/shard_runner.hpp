@@ -1,11 +1,10 @@
 // run_shard: the one way a shard of campaign work ever executes.
 //
-// Both executors -- the in-process BatchExecutor and the pab_worker side of
-// the multi-process ProcessExecutor -- funnel through this function, so the
-// bit-identity guarantee between them is structural rather than asserted:
-// the same (spec, shard, threads) triple builds the same Session over a
-// fresh isolated MetricRegistry, runs the same trial indices through the
-// same unified run_trial path, and snapshots the same metrics delta.
+// BatchExecutor and the merge/resume tests funnel through this function, so
+// the same (spec, shard, threads) triple always builds the same Session over
+// a fresh isolated MetricRegistry, runs the same trial indices through the
+// same unified run_trial path, and snapshots the same metrics delta -- which
+// is what makes a resumed or re-partitioned campaign fold to the same bytes.
 #pragma once
 
 #include "campaign/record.hpp"
@@ -28,8 +27,9 @@ struct ShardOutput {
 };
 
 // Execute trials [shard.begin, shard.end) of the shard's operating point.
-// `threads` is the BatchRunner width inside the shard; campaigns default to
-// 1 so per-worker dispatch counters are identical across executors.
+// `threads` is the BatchRunner width inside the shard; records are identical
+// at any width, while the per-worker dispatch counters
+// (sim.batch.worker.<t>.trials) depend on it.
 [[nodiscard]] pab::Expected<ShardOutput> run_shard(const CampaignSpec& spec,
                                                    const Shard& shard,
                                                    unsigned threads);

@@ -4,12 +4,11 @@
 // applied to a named Scenario preset -- times a trial count per operating
 // point, under one base seed.  The spec deliberately references presets and
 // parameters *by name* rather than embedding a Scenario value, so it can
-// travel: over the worker pipe protocol, into a checkpoint manifest, onto a
-// CLI flag.  Determinism is structural: every point's scenario carries
+// travel: into a spec file, a checkpoint manifest, onto a CLI flag.  Determinism is structural: every point's scenario carries
 // `base_seed` (common random numbers across the sweep, the variance-reduction
 // setup the figure benches already rely on) unless a "seed" axis overrides
 // it, and trial t of a point always draws from the same RNG substream no
-// matter which shard, worker, process, or resume pass executes it.
+// matter which shard, thread, or resume pass executes it.
 //
 // compile() turns the spec into the campaign work queue: per-point trial
 // ranges ("shards") that executors may run in any order and later fold back
@@ -92,7 +91,7 @@ struct CampaignSpec {
 
   // The per-trial options shared by every point.  Campaign timeline trials
   // default to keep_log = false (event logs do not fit a columnar record);
-  // a `timeline keep_log 1` override re-enables them for in-process runs.
+  // a `timeline keep_log 1` override re-enables them.
   [[nodiscard]] pab::Expected<sim::TrialOptions> trial_options() const;
 
   // Full validation without running anything (presets, params, counts).
@@ -105,7 +104,7 @@ struct CampaignSpec {
   // Canonical text form; parse() inverts it.  Doubles round-trip exactly
   // (%.17g), so serialize-parse-serialize is a fixed point and fingerprint()
   // -- FNV-1a over the serialized text -- identifies the campaign across
-  // processes and resume passes.
+  // runs and resume passes.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static pab::Expected<CampaignSpec> parse(std::string_view text);
   [[nodiscard]] std::uint64_t fingerprint() const;

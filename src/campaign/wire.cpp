@@ -1,20 +1,9 @@
 #include "campaign/wire.hpp"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
 namespace pab::campaign {
-
-namespace {
-
-// Frames larger than this are a protocol error, not a workload: one chunk of
-// records is a few KiB, a metrics delta tens of KiB.
-constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
-
-}  // namespace
 
 void ByteWriter::f64(double v) {
   std::uint64_t bits = 0;
@@ -90,79 +79,6 @@ obs::MetricsSnapshot read_metrics(ByteReader& r) {
     m.histograms.emplace(std::move(name), std::move(h));
   }
   return m;
-}
-
-namespace {
-
-pab::Expected<bool> write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return pab::Error{pab::ErrorCode::kBusError,
-                        std::string("write: ") + std::strerror(errno)};
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-// Returns bytes read (0 only on immediate EOF when allow_eof).
-pab::Expected<bool> read_all(int fd, char* data, std::size_t n, bool* eof) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, data + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return pab::Error{pab::ErrorCode::kBusError,
-                        std::string("read: ") + std::strerror(errno)};
-    }
-    if (r == 0) {
-      if (got == 0 && eof != nullptr) {
-        *eof = true;
-        return true;
-      }
-      return pab::Error{pab::ErrorCode::kBusError,
-                        "campaign wire: truncated frame (peer exited)"};
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-}  // namespace
-
-pab::Expected<bool> write_frame(int fd, MsgType type,
-                                std::string_view payload) {
-  ByteWriter header;
-  header.u32(static_cast<std::uint32_t>(payload.size() + 1));
-  header.u8(static_cast<std::uint8_t>(type));
-  auto ok = write_all(fd, header.bytes().data(), header.bytes().size());
-  if (!ok.ok()) return ok;
-  return write_all(fd, payload.data(), payload.size());
-}
-
-pab::Expected<Frame> read_frame(int fd) {
-  char lenbuf[4];
-  bool eof = false;
-  auto ok = read_all(fd, lenbuf, sizeof(lenbuf), &eof);
-  if (!ok.ok()) return ok.error();
-  if (eof) return pab::Error{pab::ErrorCode::kBusError, "eof"};
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(lenbuf[i]))
-           << (8 * i);
-  if (len == 0 || len > kMaxFrameBytes)
-    return pab::Error{pab::ErrorCode::kBusError,
-                      "campaign wire: bad frame length"};
-  std::string body(len, '\0');
-  ok = read_all(fd, body.data(), body.size(), nullptr);
-  if (!ok.ok()) return ok.error();
-  Frame f;
-  f.type = static_cast<MsgType>(static_cast<std::uint8_t>(body[0]));
-  f.payload = body.substr(1);
-  return f;
 }
 
 }  // namespace pab::campaign

@@ -1,16 +1,10 @@
-// Campaign wire format: canonical byte encoding and length-prefixed frames.
+// Campaign wire format: the canonical byte encoding.
 //
-// Everything the campaign engine persists or ships between processes --
-// record batches, metric snapshots, shard descriptors, checkpoint shard
-// files -- goes through one canonical little-endian encoding, so "the same
-// results" is testable as byte equality: a merged multi-process campaign and
-// a single-process run serialize to identical bytes.
-//
-// Frames (the pab_serve <-> pab_worker pipe protocol) are
-//   u32 length (type byte + payload) | u8 MsgType | payload bytes
-// with blocking full-read/full-write semantics: each side writes whole
-// frames, so a reader that has seen the length prefix can read to the end of
-// the frame without re-entering its event loop.
+// Everything the campaign engine persists or compares -- record batches,
+// metric snapshots, checkpoint shard files, pab_serve's `.records` artifact
+// -- goes through one canonical little-endian encoding, so "the same
+// results" is testable as byte equality: a resumed or re-sharded campaign
+// and a straight run serialize to identical bytes.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +12,6 @@
 #include <string_view>
 
 #include "obs/metrics.hpp"
-#include "util/error.hpp"
 
 namespace pab::campaign {
 
@@ -47,8 +40,8 @@ class ByteWriter {
 };
 
 // Reader over a complete in-memory payload.  Truncation (a malformed or
-// short payload) throws std::runtime_error; protocol handlers catch it at
-// the frame boundary and surface a pab::Error.
+// short payload) throws std::runtime_error; the checkpoint loader catches it
+// and surfaces a pab::Error.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
@@ -74,35 +67,9 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-// Metric snapshot codec: the per-shard deltas shipped in kShardDone frames
-// and embedded in checkpoint shard files.
+// Metric snapshot codec: the per-shard deltas embedded in checkpoint shard
+// files.
 void write_metrics(ByteWriter& w, const obs::MetricsSnapshot& m);
 [[nodiscard]] obs::MetricsSnapshot read_metrics(ByteReader& r);
-
-// ---- Frames -----------------------------------------------------------------
-
-enum class MsgType : std::uint8_t {
-  kSpec = 1,      // serve -> worker: campaign spec + worker thread count
-  kRunShard = 2,  // serve -> worker: one shard assignment
-  kRecords = 3,   // worker -> serve: a chunk of a shard's record batch
-  kShardDone = 4, // worker -> serve: shard finished; metrics delta attached
-  kShutdown = 5,  // serve -> worker: drain and exit
-  kError = 6,     // worker -> serve: fatal failure (message payload)
-};
-
-struct Frame {
-  MsgType type{};
-  std::string payload;
-};
-
-// Blocking full write of one frame.  Fails (kBusError) when the peer is gone
-// (EPIPE/EBADF) -- callers treat that as a dead worker, not a crash.
-[[nodiscard]] pab::Expected<bool> write_frame(int fd, MsgType type,
-                                              std::string_view payload);
-
-// Blocking read of one whole frame.  A clean EOF at a frame boundary returns
-// kBusError with detail "eof" (the worker's shutdown signal when the serve
-// side closes the pipe); EOF mid-frame reports a truncated stream.
-[[nodiscard]] pab::Expected<Frame> read_frame(int fd);
 
 }  // namespace pab::campaign

@@ -255,7 +255,8 @@ using ZonedRunFn = std::function<ZonedRunProbe(
 // campaign.shard_merge: a campaign's records and deterministic counters are
 // invariant under the shard partition -- any shard size (including one shard
 // per point) folds to byte-identical records_bytes() and equal counter
-// totals, the property the multi-process executor's correctness rests on.
+// totals, the property that lets checkpoint/resume and any shard size fold
+// to the same campaign bytes.
 [[nodiscard]] CheckResult check_campaign_shard_merge(std::uint64_t seed);
 
 // campaign.resume: a campaign interrupted mid-flight (max_shards cap, a

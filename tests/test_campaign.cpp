@@ -1,10 +1,6 @@
 // Campaign engine tests: wire codec, spec round-trips, record batches,
-// shard-merge associativity, executor byte-identity (in-process vs a
-// 3-worker process pool), checkpoint/resume, and manifest validation.
-//
-// The cross-process tests need the pab_worker binary; the build passes its
-// location as PAB_WORKER_BIN when examples are enabled, and the tests skip
-// (not fail) without it.
+// shard-merge associativity, checkpoint/resume (also at a different thread
+// count), and manifest validation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +11,6 @@
 
 #include "campaign/batch_executor.hpp"
 #include "campaign/manifest.hpp"
-#include "campaign/process_executor.hpp"
 #include "campaign/record.hpp"
 #include "campaign/shard_runner.hpp"
 #include "campaign/spec.hpp"
@@ -429,24 +424,36 @@ TEST(CampaignResume, InterruptedThenResumedMatchesUninterrupted) {
   auto reference = executor.run(spec, options);
   ASSERT_TRUE(reference.ok()) << reference.error().message();
 
-  const TempDir dir("resume");
-  campaign::RunOptions interrupted = options;
-  interrupted.checkpoint_dir = dir.path.string();
-  interrupted.max_shards = 3;  // 8 shards total: killed mid-campaign
-  auto first = executor.run(spec, interrupted);
-  ASSERT_FALSE(first.ok());
-  EXPECT_EQ(first.code(), pab::ErrorCode::kTimeout);
-  EXPECT_TRUE(fs::exists(dir.path / "manifest"));
-  EXPECT_TRUE(fs::exists(dir.path / "shard-0.bin"));
+  // Resume at the interrupted pass's width, and at a different one on
+  // purpose: records and summaries are width-independent, while the
+  // sim.batch.worker.<t>.trials counters depend on the width.
+  for (const unsigned resume_threads : {1u, 3u}) {
+    const TempDir dir("resume-" + std::to_string(resume_threads));
+    campaign::RunOptions interrupted = options;
+    interrupted.checkpoint_dir = dir.path.string();
+    interrupted.max_shards = 3;  // 8 shards total: killed mid-campaign
+    auto first = executor.run(spec, interrupted);
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.code(), pab::ErrorCode::kTimeout);
+    EXPECT_TRUE(fs::exists(dir.path / "manifest"));
+    EXPECT_TRUE(fs::exists(dir.path / "shard-0.bin"));
 
-  campaign::RunOptions resumed = interrupted;
-  resumed.max_shards = 0;
-  resumed.resume = true;
-  auto second = executor.run(spec, resumed);
-  ASSERT_TRUE(second.ok()) << second.error().message();
-  EXPECT_EQ(second.value().records_bytes(), reference.value().records_bytes());
-  EXPECT_EQ(second.value().metrics.counters,
-            reference.value().metrics.counters);
+    campaign::RunOptions resumed = interrupted;
+    resumed.max_shards = 0;
+    resumed.resume = true;
+    resumed.worker_threads = resume_threads;
+    auto second = executor.run(spec, resumed);
+    ASSERT_TRUE(second.ok()) << second.error().message();
+    EXPECT_EQ(second.value().records_bytes(),
+              reference.value().records_bytes())
+        << "resume_threads " << resume_threads;
+    EXPECT_EQ(second.value().summary_json(), reference.value().summary_json())
+        << "resume_threads " << resume_threads;
+    if (resume_threads == options.worker_threads) {
+      EXPECT_EQ(second.value().metrics.counters,
+                reference.value().metrics.counters);
+    }
+  }
 }
 
 TEST(CampaignResume, ManifestRejectsForeignFingerprintAndShardCount) {
@@ -484,78 +491,5 @@ TEST(CampaignExecutor, RuntimeDispatchMatchesTypedRuns) {
   EXPECT_EQ(got.ber, typed.value().ber);
   EXPECT_EQ(got.demod.snr_db, typed.value().demod.snr_db);
 }
-
-#ifdef PAB_WORKER_BIN
-
-TEST(CampaignProcess, ThreeWorkerShardedRunIsByteIdenticalToInProcess) {
-  const campaign::CampaignSpec spec = small_uplink_spec();
-
-  campaign::BatchExecutor batch;
-  campaign::RunOptions options;
-  options.shard_size = 2;
-  auto reference = batch.run(spec, options);
-  ASSERT_TRUE(reference.ok()) << reference.error().message();
-
-  campaign::ProcessExecutor sharded;
-  campaign::RunOptions process_options = options;
-  process_options.workers = 3;
-  process_options.worker_binary = PAB_WORKER_BIN;
-  auto result = sharded.run(spec, process_options);
-  ASSERT_TRUE(result.ok()) << result.error().message();
-
-  EXPECT_EQ(result.value().records_bytes(), reference.value().records_bytes());
-  EXPECT_EQ(result.value().metrics.counters,
-            reference.value().metrics.counters);
-  EXPECT_EQ(result.value().summary_json(), reference.value().summary_json());
-}
-
-TEST(CampaignProcess, KilledShardedRunResumesToIdenticalBytes) {
-  const campaign::CampaignSpec spec = small_timeline_spec();
-
-  campaign::BatchExecutor batch;
-  campaign::RunOptions options;
-  options.shard_size = 1;
-  auto reference = batch.run(spec, options);
-  ASSERT_TRUE(reference.ok()) << reference.error().message();
-
-  const TempDir dir("process-resume");
-  campaign::ProcessExecutor sharded;
-  campaign::RunOptions interrupted = options;
-  interrupted.workers = 2;
-  interrupted.worker_binary = PAB_WORKER_BIN;
-  interrupted.checkpoint_dir = dir.path.string();
-  interrupted.max_shards = 2;
-  auto first = sharded.run(spec, interrupted);
-  ASSERT_FALSE(first.ok());
-  EXPECT_EQ(first.code(), pab::ErrorCode::kTimeout);
-
-  campaign::RunOptions resumed = interrupted;
-  resumed.max_shards = 0;
-  resumed.resume = true;
-  resumed.workers = 3;  // resume with a different pool size on purpose
-  auto second = sharded.run(spec, resumed);
-  ASSERT_TRUE(second.ok()) << second.error().message();
-  EXPECT_EQ(second.value().records_bytes(), reference.value().records_bytes());
-  EXPECT_EQ(second.value().metrics.counters,
-            reference.value().metrics.counters);
-}
-
-TEST(CampaignProcess, DeadWorkerBinaryReportsError) {
-  const campaign::CampaignSpec spec = small_timeline_spec();
-  campaign::ProcessExecutor sharded;
-  campaign::RunOptions options;
-  options.workers = 2;
-  options.worker_binary = "/nonexistent/pab_worker";
-  auto result = sharded.run(spec, options);
-  EXPECT_FALSE(result.ok());
-}
-
-#else
-
-TEST(CampaignProcess, DISABLED_NeedsWorkerBinary) {
-  GTEST_SKIP() << "PAB_WORKER_BIN not defined (examples disabled)";
-}
-
-#endif  // PAB_WORKER_BIN
 
 }  // namespace

@@ -308,7 +308,7 @@ TEST(SchemeSeam, WorkspaceCachesDemodulatorPerOperatingPoint) {
   b.scheme = phy::SchemeId::kFsk2;
   const auto* second = &ws.scheme_demodulator(b);
   EXPECT_EQ(second->config().scheme, phy::SchemeId::kFsk2);
-  // Back to the first point rebuilds (single-slot cache, like demodulator()).
+  // Back to the first point rebuilds (single-slot cache).
   EXPECT_EQ(ws.scheme_demodulator(a).config().scheme, phy::SchemeId::kFm0);
 }
 
